@@ -3,9 +3,10 @@
 The paper's setting is a warehouse continuously diffing and versioning
 crawled documents; storage health (checksum rot, torn commits) and
 delta-chain growth (reconstruction cost) are the operational risks.
-:func:`collect_store_stats` walks any :class:`~repro.storage.backend.
-StorageBackend`-backed repository — filesystem, SQLite or blob, sharded
-or not — and produces one schema-versioned report:
+:func:`collect_store_stats` walks any repository — filesystem, SQLite,
+blob or in-memory, sharded or not — through its
+:class:`~repro.storage.backend.StorageBackend` and produces one
+schema-versioned report:
 
 - document / version counts (plus documents whose metadata is
   unreadable — the corruption fsck would flag);
@@ -95,47 +96,32 @@ def _size_of(backend, key: str) -> int:
 def collect_store_stats(
     repository, *, label: Optional[str] = None, per_document: bool = False
 ) -> dict:
-    """One ``repro.storewatch/1`` report for a storage-backed repository.
+    """One ``repro.storewatch/1`` report for a repository.
 
     Args:
         repository: A :class:`~repro.versioning.repository.
-            BackendRepository` or :class:`~repro.versioning.sharded.
-            ShardedRepository` (anything :func:`~repro.versioning.
-            sharded.open_repository` returns for a store URL).
+            BackendRepository` (including a ``MemoryRepository``) or a
+            :class:`~repro.versioning.sharded.ShardedRepository`.
         label: Store name/URL recorded in the report (defaults to the
             backend's URL / the sharded root).
         per_document: Also include a ``documents_detail`` list (doc id,
             shard, versions, checkpoints, bytes, staleness) — what
             ``xydiff store ls --sizes`` renders.  Off by default: the
             list is O(documents).
-
-    Raises:
-        ReproError: For repositories without a storage backend
-            (:class:`~repro.versioning.repository.MemoryRepository`).
     """
-    from repro.versioning.repository import (
-        META_NAME,
-        BackendRepository,
-        CorruptStoreError,
-    )
+    from repro.versioning.repository import META_NAME, CorruptStoreError
     from repro.versioning.sharded import ShardedRepository
-    from repro.xmlkit.errors import ReproError
 
     if isinstance(repository, ShardedRepository):
         shards = list(enumerate(repository._repos))
         sharded = True
         store_label = label if label is not None else repository.root
         backend_scheme = repository.backend_scheme
-    elif isinstance(repository, BackendRepository):
+    else:
         shards = [(None, repository)]
         sharded = False
         store_label = label if label is not None else repository.backend.url
         backend_scheme = repository.backend.scheme
-    else:
-        raise ReproError(
-            "store stats needs a storage-backed repository; "
-            f"{type(repository).__name__} has no backend to walk"
-        )
 
     documents = 0
     unreadable = 0

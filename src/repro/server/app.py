@@ -290,7 +290,7 @@ class DiffServer:
                 )
                 # Crash recovery ran while opening: surface every
                 # journal roll-forward/back as a repo.recover event.
-                for event in getattr(repository, "recovery_events", ()):
+                for event in repository.recovery_events:
                     self.events.emit(
                         "repo.recover",
                         level="warning",

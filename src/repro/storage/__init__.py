@@ -10,15 +10,16 @@ deltas survive crashes.  Two layers provide that:
   SHA-256 digests so a manifest can later prove the bytes on disk are
   the bytes that were committed.
 - :mod:`repro.storage.backend` — the :class:`StorageBackend` protocol
-  the repository commits through, with three conforming
+  the repository commits through, with four conforming
   implementations: :class:`~repro.storage.filesystem.FilesystemBackend`
   (the classic directory layout, byte-identical with pre-protocol
   stores), :class:`~repro.storage.sqlite_store.SQLiteBackend` (one WAL
-  database file, transactional commits) and
+  database file, transactional commits),
   :class:`~repro.storage.blobstore.BlobStoreBackend`
-  (content-addressed objects with refcounted GC).  Backends are
-  addressed by store URL (``file://``, ``sqlite://``, ``blob://``) via
-  :func:`open_backend`.
+  (content-addressed objects with refcounted GC) and
+  :class:`~repro.storage.memory.MemoryBackend` (a process-local dict).
+  The persistent backends are addressed by store URL (``file://``,
+  ``sqlite://``, ``blob://``) via :func:`open_backend`.
 """
 
 from repro.storage.atomic import (
@@ -37,6 +38,7 @@ from repro.storage.backend import (
 )
 from repro.storage.blobstore import BlobStoreBackend
 from repro.storage.filesystem import FilesystemBackend
+from repro.storage.memory import MemoryBackend
 from repro.storage.sqlite_store import SQLiteBackend
 
 __all__ = [
@@ -44,6 +46,7 @@ __all__ = [
     "STORE_SCHEMES",
     "BlobStoreBackend",
     "FilesystemBackend",
+    "MemoryBackend",
     "SQLiteBackend",
     "StorageBackend",
     "atomic_write",

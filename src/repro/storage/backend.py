@@ -27,7 +27,9 @@ database file) and ``blob://PATH`` (content-addressed object store).
 :func:`open_backend` resolves a URL — or a bare filesystem path, whose
 backend is sniffed from the on-disk markers — to a backend instance.
 ``shard://PATH?shards=N&backend=SCHEME`` is resolved one level up, by
-:func:`repro.versioning.sharded.open_repository`.
+:func:`repro.versioning.sharded.open_repository`.  The memory backend
+(:mod:`repro.storage.memory`) registers no scheme: a memory store is
+reachable only through the object that holds it.
 """
 
 from __future__ import annotations

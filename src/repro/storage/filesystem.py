@@ -1,10 +1,12 @@
 """Filesystem backend: keys map 1:1 to files under the store root.
 
-This is a behaviour-preserving wrap of the layout
-:class:`repro.versioning.repository.DirectoryRepository` always used —
-the bytes it writes are **identical** to the pre-protocol store, so
-every existing store opens unchanged and ``fsck`` stays clean across
-the refactor.  Atomicity comes from :func:`repro.storage.atomic.
+It backs ``file://`` stores, which open as a
+:class:`repro.versioning.repository.DirectoryRepository` (a
+:class:`~repro.versioning.repository.BackendRepository` over this
+backend).  The bytes it writes are **identical** to the
+one-directory-per-document store written before the storage protocol
+existed, so every such store opens unchanged and ``fsck`` stays clean.
+Atomicity comes from :func:`repro.storage.atomic.
 atomic_write` (temp file + ``os.replace``); the temp files a crash can
 leave behind surface through :meth:`FilesystemBackend.orphans`.
 """

@@ -1,7 +1,8 @@
 """Xyleme-style change control built on the diff (the paper's Figure 1).
 
 - :mod:`repro.versioning.repository` — snapshot + delta-chain storage
-  (in memory, or through any :class:`repro.storage.StorageBackend`).
+  through any :class:`repro.storage.StorageBackend` (process memory
+  included).
 - :mod:`repro.versioning.sharded` — the ``hash(doc_id) → shard``
   router and :func:`open_repository`, the store-URL front door.
 - :mod:`repro.versioning.version_control` — commit pipeline, version

@@ -8,22 +8,24 @@ version is then possibly removed from the repository" — old versions are
 reconstructed on demand by applying deltas backward from the current
 snapshot.
 
-Three implementations share the interface:
+Two implementations share the interface:
 
-- :class:`MemoryRepository` — everything in process memory.
-- :class:`BackendRepository` — persistent storage through any
+- :class:`BackendRepository` — storage through any
   :class:`repro.storage.backend.StorageBackend` (filesystem, SQLite,
-  content-addressed blobs).  Per document it keeps the current snapshot
-  (``<doc>/current.xml``), the deltas (``<doc>/delta-0001-0002.xml``
-  ...), and a small metadata record.  Documents and deltas are stored
-  in their XML forms, so the store is inspectable with any XML tooling
-  — a property the paper makes a point of.
-- :class:`DirectoryRepository` — the backend repository specialised to
-  the classic one-directory-per-document filesystem layout
-  (byte-identical with stores written before the protocol existed).
+  content-addressed blobs, process memory).  Per document it keeps the
+  current snapshot (``<doc>/current.xml``), the deltas
+  (``<doc>/delta-0001-0002.xml`` ...), and a small metadata record.
+  Documents and deltas are stored in their XML forms, so the store is
+  inspectable with any XML tooling — a property the paper makes a point
+  of.
+- :class:`repro.versioning.sharded.ShardedRepository` routes documents
+  across many backend repositories by hash.
 
-A fourth, :class:`repro.versioning.sharded.ShardedRepository`, routes
-documents across many backend repositories by hash.
+Two constructors name the common backends: :class:`MemoryRepository`
+(a process-local :class:`~repro.storage.memory.MemoryBackend`, the
+default store of a version store) and :class:`DirectoryRepository`
+(the classic one-directory-per-document filesystem layout,
+byte-identical with stores written before the protocol existed).
 
 Durability
 ----------
@@ -65,6 +67,7 @@ from repro.core.xid import XidAllocator
 from repro.storage.atomic import check_durability, sha256_bytes
 from repro.storage.backend import StorageBackend
 from repro.storage.filesystem import FilesystemBackend
+from repro.storage.memory import MemoryBackend
 from repro.xmlkit.errors import RepositoryError, XmlParseError
 from repro.xmlkit.model import Document
 from repro.xmlkit.parser import parse
@@ -159,6 +162,10 @@ class Repository:
     the record back (with the ``version`` it produced); a commit
     without a record clears any previous one — the record always
     describes the *latest* version or nothing.
+
+    ``create`` and ``append`` take ownership of the document they store:
+    the repository may keep that instance as its cached current version,
+    so the caller must not mutate it afterwards.
     """
 
     def create(
@@ -184,7 +191,7 @@ class Repository:
         documents (a prefix without readable metadata), which is what
         ``fsck`` reports.
         """
-        return len(self.document_ids())
+        raise NotImplementedError
 
     def current_version(self, doc_id: str) -> int:
         """Highest stored version number (versions start at 1)."""
@@ -227,8 +234,7 @@ class Repository:
         (``key``, ``digest``) plus ``version`` — the version that
         commit produced.
         """
-        self._check_exists(doc_id)
-        return None
+        raise NotImplementedError
 
     def attribution(self, doc_id: str) -> dict[str, str]:
         """``version -> request id`` for every attributed commit.
@@ -238,134 +244,33 @@ class Repository:
         a ``request_id`` — the durable end of request correlation: an
         acked commit can be traced from the client's retry log to the
         exact stored version it produced.  Versions are string keys
-        (JSON round trip).  Backends without persistent state return an
-        empty map.
+        (JSON round trip).
         """
-        self._check_exists(doc_id)
-        return {}
+        raise NotImplementedError
 
     def verify(self, doc_id: str | None = None) -> list[Finding]:
-        """Audit stored state; a backend without persistent state is
-        vacuously clean."""
-        return []
+        """Audit stored state; returns findings (empty = clean)."""
+        raise NotImplementedError
 
     # -- snapshot checkpoints -------------------------------------------------
     # Reconstruction normally walks deltas backward from the current
-    # version; checkpoints bound that walk for long histories.  The base
-    # implementations make checkpointing optional for custom backends:
-    # nothing is stored and reconstruction falls back to the full walk.
+    # version; checkpoints bound that walk for long histories.
 
     def store_snapshot(self, doc_id: str, version: int, document: Document):
-        """Keep a full copy of one historical version (optional)."""
+        """Keep a full copy of one historical version."""
+        raise NotImplementedError
 
     def load_snapshot(self, doc_id: str, version: int):
         """A stored historical snapshot, or ``None``."""
-        return None
+        raise NotImplementedError
 
     def snapshot_versions(self, doc_id: str) -> list[int]:
         """Versions with a stored snapshot (ascending, possibly empty)."""
-        return []
+        raise NotImplementedError
 
     def close(self) -> None:
         """Release backing resources; idempotent."""
-
-    def _check_exists(self, doc_id: str) -> None:
-        if not self.exists(doc_id):
-            raise RepositoryError(f"unknown document {doc_id!r}")
-
-
-class MemoryRepository(Repository):
-    """In-process repository; documents are cloned on the way in and out."""
-
-    def __init__(self):
-        self._current: dict[str, Document] = {}
-        self._deltas: dict[str, list[Delta]] = {}
-        self._next_xid: dict[str, int] = {}
-        self._snapshots: dict[tuple[str, int], Document] = {}
-        self._last_commit: dict[str, dict] = {}
-        self._attribution: dict[str, dict[str, str]] = {}
-
-    def create(
-        self, doc_id, document, allocator, commit_record=None
-    ):
-        if doc_id in self._current:
-            raise RepositoryError(f"document {doc_id!r} already exists")
-        self._current[doc_id] = document.clone()
-        self._deltas[doc_id] = []
-        self._next_xid[doc_id] = allocator.next_xid
-        if commit_record is not None:
-            self._last_commit[doc_id] = dict(commit_record, version=1)
-            if commit_record.get("request_id"):
-                self._attribution.setdefault(doc_id, {})["1"] = str(
-                    commit_record["request_id"]
-                )
-
-    def exists(self, doc_id: str) -> bool:
-        return doc_id in self._current
-
-    def document_ids(self) -> list[str]:
-        return sorted(self._current)
-
-    def current_version(self, doc_id: str) -> int:
-        self._check_exists(doc_id)
-        return len(self._deltas[doc_id]) + 1
-
-    def load_current(self, doc_id: str, readonly: bool = False) -> Document:
-        self._check_exists(doc_id)
-        document = self._current[doc_id]
-        return document if readonly else document.clone()
-
-    def load_allocator(self, doc_id: str) -> XidAllocator:
-        self._check_exists(doc_id)
-        return XidAllocator(self._next_xid[doc_id])
-
-    def load_delta(self, doc_id: str, base_version: int) -> Delta:
-        self._check_exists(doc_id)
-        deltas = self._deltas[doc_id]
-        if not 1 <= base_version <= len(deltas):
-            raise RepositoryError(
-                f"no delta {base_version}->{base_version + 1} for {doc_id!r}"
-            )
-        return deltas[base_version - 1]
-
-    def append(self, doc_id, delta, new_document, allocator, commit_record=None):
-        self._check_exists(doc_id)
-        self._deltas[doc_id].append(delta)
-        self._current[doc_id] = new_document.clone()
-        self._next_xid[doc_id] = allocator.next_xid
-        version = len(self._deltas[doc_id]) + 1
-        if commit_record is not None:
-            self._last_commit[doc_id] = dict(commit_record, version=version)
-            if commit_record.get("request_id"):
-                self._attribution.setdefault(doc_id, {})[str(version)] = str(
-                    commit_record["request_id"]
-                )
-        else:
-            self._last_commit.pop(doc_id, None)
-
-    def last_commit(self, doc_id):
-        self._check_exists(doc_id)
-        record = self._last_commit.get(doc_id)
-        return dict(record) if record is not None else None
-
-    def attribution(self, doc_id):
-        self._check_exists(doc_id)
-        return dict(self._attribution.get(doc_id, {}))
-
-    def store_snapshot(self, doc_id, version, document):
-        self._check_exists(doc_id)
-        self._snapshots[(doc_id, version)] = document.clone()
-
-    def load_snapshot(self, doc_id, version):
-        snapshot = self._snapshots.get((doc_id, version))
-        return snapshot.clone() if snapshot is not None else None
-
-    def snapshot_versions(self, doc_id):
-        return sorted(
-            version
-            for document_id, version in self._snapshots
-            if document_id == doc_id
-        )
+        raise NotImplementedError
 
 
 class BackendRepository(Repository):
@@ -379,7 +284,7 @@ class BackendRepository(Repository):
     current snapshot, keyed by version number, so the commit loop
     (load → diff → append) does not re-parse an unchanged ``current.xml``
     on every revisit.  ``append`` and ``create`` *roll the cache
-    forward* (a private copy of the document they just wrote) rather
+    forward* (to the document they just wrote, which they own) rather
     than dropping it — in the commit loop the next ``load_current`` is
     always for the version just appended, so invalidation would
     guarantee a miss on the very access the cache exists for.  The
@@ -392,6 +297,12 @@ class BackendRepository(Repository):
     Opening the repository scans for leftover commit journals and
     recovers them (see the module docstring); what happened is recorded
     in :attr:`recovery_events`.
+
+    Sanitising can map two ids to one prefix (``"site/a.html"`` and
+    ``"site_a.html"``).  Every metadata read compares the stored
+    ``doc_id`` with the requested one, so ``create``, ``load_current``
+    and ``append`` on the second id raise :class:`RepositoryError`
+    naming both instead of touching the first id's history.
 
     Args:
         backend: The storage backend holding the bytes.
@@ -431,6 +342,10 @@ class BackendRepository(Repository):
 
     def close(self) -> None:
         self.backend.close()
+
+    def _check_exists(self, doc_id: str) -> None:
+        if not self.exists(doc_id):
+            raise RepositoryError(f"unknown document {doc_id!r}")
 
     # -- keys ----------------------------------------------------------------
 
@@ -488,9 +403,16 @@ class BackendRepository(Repository):
 
     def _load_meta(self, doc_id: str) -> dict:
         try:
-            return self._read_json(self._meta_key(doc_id), "metadata")
+            meta = self._read_json(self._meta_key(doc_id), "metadata")
         except FileNotFoundError as exc:
             raise RepositoryError(f"unknown document {doc_id!r}") from exc
+        stored = str(meta.get("doc_id", doc_id))
+        if stored != doc_id:
+            raise RepositoryError(
+                f"document id {doc_id!r} collides with stored document "
+                f"{stored!r} (both map to {self._doc_key(doc_id)!r})"
+            )
+        return meta
 
     def _store_meta(self, doc_id: str, meta: dict) -> None:
         self.backend.put_json(self._meta_key(doc_id), meta, label="meta")
@@ -516,6 +438,7 @@ class BackendRepository(Repository):
 
     def create(self, doc_id, document, allocator, commit_record=None):
         if self.backend.exists(self._meta_key(doc_id)):
+            self._load_meta(doc_id)  # raises first on a colliding id
             raise RepositoryError(f"document {doc_id!r} already exists")
         meta = {
             "doc_id": doc_id,
@@ -547,7 +470,7 @@ class BackendRepository(Repository):
             # incomplete prefix that the next create() overwrites and
             # fsck flags.
             self._store_meta(doc_id, meta)
-        self._current_cache[doc_id] = (meta, document.clone())
+        self._current_cache[doc_id] = (meta, document)
 
     def exists(self, doc_id: str) -> bool:
         return self.backend.exists(self._meta_key(doc_id))
@@ -709,7 +632,7 @@ class BackendRepository(Repository):
                 self.backend.delete(
                     self._journal_key(doc_id), label="journal-clear"
                 )
-            self._current_cache[doc_id] = (new_meta, new_document.clone())
+            self._current_cache[doc_id] = (new_meta, new_document)
         finally:
             if span is not None:
                 self.tracer.end_span(span)
@@ -1106,11 +1029,15 @@ class DirectoryRepository(BackendRepository):
         backend = FilesystemBackend(
             base_path, durability=durability, faults=faults
         )
-        self.base_path = backend.root
         super().__init__(backend, tracer=tracer)
 
-    def _doc_dir(self, doc_id: str) -> str:
-        return os.path.join(self.base_path, self._doc_key(doc_id))
+
+class MemoryRepository(BackendRepository):
+    """A :class:`BackendRepository` over a fresh, process-local
+    :class:`~repro.storage.memory.MemoryBackend`."""
+
+    def __init__(self, tracer=None):
+        super().__init__(MemoryBackend(), tracer=tracer)
 
 
 def _digest_or_none(backend: StorageBackend, key: str) -> Optional[str]:

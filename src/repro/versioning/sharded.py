@@ -224,11 +224,13 @@ class ShardedRepository(Repository):
     # -- Repository interface ------------------------------------------------
 
     def create(self, doc_id, document, allocator, commit_record=None):
-        if self.exists(doc_id):
-            raise RepositoryError(f"document {doc_id!r} already exists")
-        home = self.shard_of(doc_id)
-        with self._locks[home]:
-            self._repos[home].create(
+        # A document already present on any shard makes that shard's
+        # create() refuse it, naming a colliding stored id if there is one.
+        index = self._locate(doc_id)
+        if index is None:
+            index = self.shard_of(doc_id)
+        with self._locks[index]:
+            self._repos[index].create(
                 doc_id, document, allocator, commit_record=commit_record
             )
 

@@ -37,7 +37,8 @@ class VersionStore:
         on_commit: Optional callback ``f(doc_id, delta, new_document)``
             invoked after every successful commit — this is where the
             paper's *Alerter* (subscription system) and the incremental
-            indexer hook in.
+            indexer hook in.  ``new_document`` is the stored current
+            version itself: callbacks must not mutate it.
         engine: Diff engine used by :meth:`commit` — a registered name
             (``"buld"``, ``"lu"``, ...) or a
             :class:`~repro.engine.base.DiffEngine` instance.

@@ -15,7 +15,6 @@ from repro.obs.storewatch import (
 from repro.versioning.repository import MemoryRepository
 from repro.versioning.sharded import open_repository
 from repro.versioning.version_control import VersionStore
-from repro.xmlkit.errors import ReproError
 from repro.xmlkit.parser import parse
 
 
@@ -150,9 +149,17 @@ def test_file_store_has_no_dedup_block(file_repo):
     assert collect_store_stats(file_repo)["dedup"] is None
 
 
-def test_memory_repository_is_rejected():
-    with pytest.raises(ReproError):
-        collect_store_stats(MemoryRepository())
+def test_memory_repository_reports_its_store():
+    repository = MemoryRepository()
+    store = VersionStore(repository=repository)
+    for index, versions in enumerate((1, 3)):
+        _grow(store, f"doc-{index}", versions)
+    report = collect_store_stats(repository)
+    assert report["backend"] == "memory"
+    assert report["documents"] == 2
+    assert report["versions"] == 1 + 3
+    assert report["deltas"] == 0 + 2
+    assert report["bytes_by_kind"]["delta"] > 0
 
 
 def test_publish_store_metrics_gauges(file_repo):

@@ -1,16 +1,20 @@
 """Backend conformance: one contract, proven per backend.
 
-Every test in this module runs against all three storage backends
-(``file``, ``sqlite``, ``blob``) — the key/value contract, the stable
-JSON encoding, batch scopes, and, most importantly, the PR-3 crash
+Every test in this module runs against all four storage backends
+(``file``, ``sqlite``, ``blob``, ``memory``) — the key/value contract,
+the stable JSON encoding, batch scopes, and, most importantly, the crash
 matrix: a commit crashed, torn or EIO'd at *every* I/O boundary must
 leave a store that reopens into either the pre- or the post-state with
 a clean ``verify()``.  The crash-safety guarantee is stated once,
 against the :class:`~repro.storage.backend.StorageBackend` protocol,
 and this suite is what makes the statement true per implementation.
 
-CI runs the module three times (one backend per matrix job) by setting
+CI runs the module four times (one backend per matrix job) by setting
 ``XYDIFF_BACKENDS``; locally, all backends run in one go.
+
+A memory store has no path to reopen, so "reopening" one wraps the same
+:class:`~repro.storage.memory.MemoryBackend` instance in a new
+repository, whose constructor runs recovery as after a restart.
 """
 
 import json
@@ -21,6 +25,7 @@ import pytest
 from repro.storage import (
     BlobStoreBackend,
     FilesystemBackend,
+    MemoryBackend,
     SQLiteBackend,
     open_backend,
     sha256_bytes,
@@ -34,6 +39,7 @@ _ALL_BACKENDS = {
     "file": FilesystemBackend,
     "sqlite": SQLiteBackend,
     "blob": BlobStoreBackend,
+    "memory": MemoryBackend,
 }
 
 #: CI's backend matrix narrows the sweep (XYDIFF_BACKENDS=sqlite);
@@ -41,7 +47,7 @@ _ALL_BACKENDS = {
 BACKENDS = [
     name.strip()
     for name in os.environ.get(
-        "XYDIFF_BACKENDS", "file,sqlite,blob"
+        "XYDIFF_BACKENDS", "file,sqlite,blob,memory"
     ).split(",")
     if name.strip()
 ]
@@ -68,8 +74,33 @@ def _store_path(tmp_path, scheme):
     )
 
 
+#: Memory backends by store path, so a test can reopen its memory store.
+_memory_stores: dict[str, MemoryBackend] = {}
+
+
+@pytest.fixture(autouse=True)
+def _forget_memory_stores():
+    yield
+    _memory_stores.clear()
+
+
 def _make_backend(tmp_path, scheme, **kwargs):
-    return _ALL_BACKENDS[scheme](_store_path(tmp_path, scheme), **kwargs)
+    path = _store_path(tmp_path, scheme)
+    if scheme != "memory":
+        return _ALL_BACKENDS[scheme](path, **kwargs)
+    backend = _memory_stores.get(path)
+    if backend is None:
+        backend = _memory_stores[path] = MemoryBackend(**kwargs)
+    backend.faults = kwargs.get("faults")
+    return backend
+
+
+def _store_ref(tmp_path, scheme):
+    """What ``fsck_store`` is handed: the store URL, or for a memory
+    store (which has none) a repository reopened over its backend."""
+    if scheme == "memory":
+        return _reopen(tmp_path, scheme)
+    return f"{scheme}://{_store_path(tmp_path, scheme)}"
 
 
 @pytest.fixture(params=BACKENDS)
@@ -163,6 +194,11 @@ class TestKeyValueContract:
             b.put("doc/a", b"payload")
             assert b.get("doc/a") == b"payload"
 
+    # Memory is left out: it registers no URL scheme, and its data lives
+    # only as long as the backend object.
+    @pytest.mark.parametrize(
+        "scheme", [name for name in BACKENDS if name != "memory"]
+    )
     def test_open_backend_reopens_data(self, tmp_path, scheme, backend):
         backend.put("doc/current.xml", b"<doc/>")
         backend.close()
@@ -320,9 +356,7 @@ class TestTornWrites:
         reopened.close()
         # repair cannot conjure the lost bytes either: exit code 2,
         # routed through the store-URL front door.
-        report = fsck_store(
-            f"{scheme}://{_store_path(tmp_path, scheme)}", repair=True
-        )
+        report = fsck_store(_store_ref(tmp_path, scheme), repair=True)
         assert report.exit_code() == 2
         assert all(f.scheme == scheme for f in report.findings)
 
@@ -369,9 +403,9 @@ class TestCrashDuringCreate:
             "incomplete-document"
         }
         reopened.close()
-        url = f"{scheme}://{_store_path(tmp_path, scheme)}"
-        assert fsck_store(url, repair=True).exit_code() in (0, 1)
-        assert fsck_store(url).exit_code() == 0
+        store_ref = _store_ref(tmp_path, scheme)
+        assert fsck_store(store_ref, repair=True).exit_code() in (0, 1)
+        assert fsck_store(store_ref).exit_code() == 0
         # the slot is reusable afterwards.
         retry = _reopen(tmp_path, scheme)
         VersionStore(retry).create("doc", parse(V1))

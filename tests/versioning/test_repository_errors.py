@@ -1,12 +1,17 @@
-"""Corruption and misuse handling in the directory repository."""
+"""Corruption and misuse handling in the repositories."""
 
 import json
 
 import pytest
 
 from repro.core import assign_initial_xids
-from repro.versioning import DirectoryRepository
-from repro.xmlkit import RepositoryError, parse
+from repro.versioning import (
+    DirectoryRepository,
+    MemoryRepository,
+    VersionStore,
+    open_repository,
+)
+from repro.xmlkit import RepositoryError, parse, serialize_bytes
 
 
 def make_repo(tmp_path):
@@ -84,6 +89,49 @@ class TestCorruption:
         repo = make_repo(tmp_path)
         with pytest.raises(RepositoryError):
             repo.load_delta("d1", 7)
+
+
+class TestDocIdCollision:
+    """``"site/a.html"`` and ``"site_a.html"`` share one key prefix; the
+    second id must be refused, never appended to the first id's chain."""
+
+    @pytest.fixture(params=["file", "sqlite", "memory", "shard"])
+    def store(self, request, tmp_path):
+        if request.param == "memory":
+            repository = MemoryRepository()
+        else:
+            repository = open_repository(
+                {
+                    "file": f"file://{tmp_path}/store",
+                    "sqlite": f"sqlite://{tmp_path}/store.sqlite",
+                    "shard": f"shard://{tmp_path}/store?shards=4",
+                }[request.param]
+            )
+        yield VersionStore(repository)
+        repository.close()
+
+    def _assert_collision(self, info):
+        message = str(info.value)
+        assert "'site_a.html'" in message and "'site/a.html'" in message
+
+    def test_colliding_id_is_refused(self, store):
+        store.create("site/a.html", parse("<p>one</p>"))
+        store.commit("site/a.html", parse("<p>two</p>"))
+        before = serialize_bytes(store.get_current("site/a.html"))
+
+        with pytest.raises(RepositoryError) as info:
+            store.create("site_a.html", parse("<p>other</p>"))
+        self._assert_collision(info)
+        with pytest.raises(RepositoryError) as info:
+            store.commit("site_a.html", parse("<p>other</p>"))
+        self._assert_collision(info)
+        with pytest.raises(RepositoryError) as info:
+            store.get_current("site_a.html")
+        self._assert_collision(info)
+
+        assert store.current_version("site/a.html") == 2
+        assert serialize_bytes(store.get_current("site/a.html")) == before
+        assert store.document_ids() == ["site/a.html"]
 
 
 class TestErrorsHierarchy:
