@@ -926,6 +926,9 @@ def _cmd_bench(args) -> int:
         path = bench.write_result(payload, out_dir=args.out_dir)
         wrote.append(path)
         print(f"wrote {path}")
+        # Render the file as written (sorted keys), so this table is the
+        # same one the committed BENCH_*.json renders to later.
+        print(bench.render_text(bench.load_result(path)))
         if args.history:
             history_path = bench.append_history(payload, args.history)
             print(f"appended {history_path}")
@@ -1377,7 +1380,8 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="RESULTS.json",
                      help="compare OLD.json [NEW.json] instead of running; "
                           "one file compares against --out-dir; exits 1 on "
-                          "regression, 2 on unusable input")
+                          "regression or a missing baseline case, 2 on "
+                          "unusable input")
     sub.add_argument("--threshold", type=float, default=25.0, metavar="PCT",
                      help="regression gate: percent slowdown/quality drop "
                           "tolerated (default 25)")

@@ -13,8 +13,8 @@ trade-off can be measured instead of argued:
   XIDs, exactly the information loss the paper's move support avoids.
 - :func:`strip_metadata` — drop version bookkeeping for size comparisons.
 
-The ablation benchmark compares delta sizes and apply times of both
-representations (see ``benchmarks/test_ablations.py``).
+The ABL experiment's ``moves-vs-edits`` case compares the delta sizes
+of both representations (``xydiff bench ABL``).
 """
 
 from __future__ import annotations

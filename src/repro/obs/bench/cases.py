@@ -7,7 +7,7 @@ vs the synthetic perfect delta), FIG6 (delta over Unix-diff size), SITE
 from the move-less optimum), ABL (tuning-knob ablations) and STORE (the
 commit-loop reuse experiment).  Each has a **fast** tier (seconds; the
 CI ``perf-smoke`` workload) and a **full** tier (the paper-scale sweep
-behind ``python -m benchmarks.report``).
+behind ``xydiff bench <ID>``).
 
 Everything is seed-driven, so quality metrics (delta bytes, ratios,
 chain digests) are bit-stable across runs and machines — only the

@@ -11,6 +11,9 @@ and produces one row per gated measurement:
   (lower-is-better by convention: delta bytes, cost ratios).  Quality is
   deterministic in this repo (seeded generators), so no noise floor
   applies.
+- **presence** — a case of the old payload that the new payload lacks
+  is a regression too: renaming or dropping a gated case must not pass
+  the gate.  Cases only the new payload has are listed, never gated.
 
 The report renders as the table behind ``xydiff bench --compare`` and
 drives its exit code: 0 clean, 1 at least one regression, 2 unusable
@@ -73,7 +76,7 @@ class ComparisonReport:
 
     @property
     def ok(self) -> bool:
-        return not self.regressions
+        return not self.regressions and not self.missing_cases
 
 
 def compare_payloads(
@@ -201,13 +204,16 @@ def render_comparison(report: ComparisonReport) -> str:
             f"{change:>8}  {verdict}"
         )
     for name in report.missing_cases:
-        lines.append(f"{name:<28} (case missing from the new results)")
+        lines.append(
+            f"{name:<28} {'case':<22} {'present':>12} {'missing':>12} "
+            f"{'':>8}  REGRESSION (case missing)"
+        )
     for name in report.added_cases:
         lines.append(f"{name:<28} (new case; nothing to compare)")
     lines.append("")
     for note in report.notes:
         lines.append(f"note: {note}")
-    count = len(report.regressions)
+    count = len(report.regressions) + len(report.missing_cases)
     lines.append(
         "verdict: "
         + (f"{count} regression(s) beyond the gate" if count else "no regressions")

@@ -1,9 +1,8 @@
 """Text rendering of benchmark payloads.
 
-The plain-text reports under ``bench_results/`` are a *view* of the
-``BENCH_<EXPERIMENT>.json`` payload — ``benchmarks/report.py`` runs the
-harness and pipes the payload through :func:`render_text`; there is no
-second measurement code path.
+The table ``xydiff bench`` prints after writing each
+``BENCH_<EXPERIMENT>.json`` is a *view* of that payload, rendered by
+:func:`render_text`; there is no second measurement code path.
 """
 
 from __future__ import annotations

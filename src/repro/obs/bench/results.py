@@ -1,11 +1,11 @@
 """Benchmark result payloads: schema, statistics, validation, file I/O.
 
-One benchmark run of one experiment produces one JSON payload — the
-machine-readable counterpart of the old plain-text ``bench_results``
-reports — written as ``BENCH_<EXPERIMENT>.json``.  The payload is
-schema-versioned (:data:`SCHEMA`): consumers (the ``--compare``
-regression gate, CI's schema check, plotting scripts) refuse files whose
-``schema`` field they do not understand instead of misreading them.
+One benchmark run of one experiment produces one JSON payload, written
+as ``BENCH_<EXPERIMENT>.json`` (``render_text`` prints it as a table).
+The payload is schema-versioned (:data:`SCHEMA`): consumers (the
+``--compare`` regression gate, CI's schema check, plotting scripts)
+refuse files whose ``schema`` field they do not understand instead of
+misreading them.
 
 Layout (see ``docs/benchmarks.md`` for the field-by-field reference)::
 

@@ -11,8 +11,8 @@ here a key factor ... The diff has to run at the speed of the indexer."
 document versions; it versions them (diff on commit), runs the alerter,
 maintains the full-text index and the change statistics — and it times
 every stage, so the paper's efficiency requirement ("diff at indexer
-speed") is a measurable property, not a slogan (see
-``benchmarks/test_pipeline_throughput.py``).
+speed") is a measurable property, not a slogan
+(``LoaderStats.diff_vs_index_ratio``).
 """
 
 from __future__ import annotations

@@ -121,6 +121,22 @@ class TestChunkedHeuristic:
         assert exact_total == 4.0  # 3, 4, 5, 6
         assert chunk_total == 3.0  # 3, 9, 10 and nothing from block two
 
+    @pytest.mark.parametrize("block", [5, 50])
+    def test_local_reordering_keeps_most_weight(self, block):
+        # Web-realistic reordering: shuffles within windows of 20, where
+        # the heuristic "proves to be sufficient in practice".
+        rng = random.Random(9)
+        values = list(range(400))
+        for start in range(0, 400, 20):
+            window = values[start:start + 20]
+            rng.shuffle(window)
+            values[start:start + 20] = window
+        exact_total, _ = heaviest_increasing_subsequence(values)
+        chunk_total, _ = chunked_increasing_subsequence(
+            values, block_length=block
+        )
+        assert 0.5 * exact_total <= chunk_total <= exact_total
+
     def test_sorted_input_is_lossless(self):
         values = list(range(100))
         total, chain = chunked_increasing_subsequence(values, block_length=9)

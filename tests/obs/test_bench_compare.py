@@ -124,6 +124,24 @@ class TestComparePayloads:
         assert report.missing_cases == ["only"]
         assert report.added_cases == ["renamed"]
 
+    def test_missing_baseline_case_fails_the_gate(self):
+        old, new = _payload(), _payload()
+        new["cases"][0]["name"] = "renamed"
+        report = compare_payloads(old, new)
+        assert not report.ok
+        text = render_comparison(report)
+        assert "REGRESSION (case missing)" in text
+        assert "1 regression(s) beyond the gate" in text
+
+    def test_added_case_alone_does_not_gate(self):
+        old, new = _payload(), _payload()
+        extra = copy.deepcopy(new["cases"][0])
+        extra["name"] = "extra"
+        new["cases"].append(extra)
+        report = compare_payloads(old, new)
+        assert report.added_cases == ["extra"]
+        assert report.ok
+
     def test_render_mentions_verdicts(self):
         text = render_comparison(
             compare_payloads(_payload(wall=0.1), _payload(wall=0.3))
@@ -172,6 +190,14 @@ class TestCompareCli:
         assert main(
             ["bench", "--compare", old, "--out-dir", str(new_dir)]
         ) == 0
+
+    def test_exit_1_when_a_baseline_case_is_missing(self, tmp_path, capsys):
+        renamed = _payload()
+        renamed["cases"][0]["name"] = "renamed"
+        old = self._write(tmp_path, "old", _payload())
+        new = self._write(tmp_path, "new", renamed)
+        assert main(["bench", "--compare", old, new]) == 1
+        assert "REGRESSION (case missing)" in capsys.readouterr().out
 
     def test_exit_2_on_missing_file(self, tmp_path, capsys):
         old = self._write(tmp_path, "old", _payload())

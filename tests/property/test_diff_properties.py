@@ -75,14 +75,20 @@ def test_diff_correct_under_simulated_changes(
     st.booleans(),
     st.booleans(),
     st.integers(0, 3),
+    st.integers(1, 32),
+    st.floats(0.0, 3.0),
 )
-def test_diff_correct_under_any_config(seed, use_ids, lazy, passes):
+def test_diff_correct_under_any_config(
+    seed, use_ids, lazy, passes, max_candidates, depth_factor
+):
     base = generate_document(GeneratorConfig(target_nodes=60, seed=seed))
     result = simulate_changes(base, SimulatorConfig(seed=seed + 1))
     config = DiffConfig(
         use_id_attributes=use_ids,
         lazy_down=lazy,
         optimization_passes=passes,
+        max_candidates=max_candidates,
+        ancestor_depth_factor=depth_factor,
     )
     old = fresh(base)
     new = fresh(result.new_document)

@@ -70,6 +70,43 @@ class TestDriftDetection:
         )
         assert problems == []
 
+    def test_phantom_file_path_flagged(self, check_docs):
+        problems = []
+        check_docs.check_paths(
+            ROOT / "docs" / "cli.md",
+            "see `gone/report.py`, `tools/check_docs.py`, "
+            "`../EXPERIMENTS.md`, `tests/obs/`, `BENCH_*.json`",
+            problems,
+        )
+        assert problems == ["docs/cli.md: phantom file path 'gone/report.py'"]
+
+    def test_path_check_skips_placeholders_urls_and_non_paths(
+        self, check_docs
+    ):
+        problems = []
+        check_docs.check_paths(
+            ROOT / "docs" / "cli.md",
+            "`DIR/history.jsonl` `https://example.com/x.md` "
+            "`sqlite:///tmp/s.db` `/tmp/out.json` `repro.bench/1` "
+            "`POST /diff`",
+            problems,
+        )
+        assert problems == []
+
+    def test_placeholder_ends_the_checked_prefix(self, check_docs):
+        problems = []
+        check_docs.check_paths(
+            ROOT / "README.md",
+            "`gone/<ID>.txt` `tests/<name>.py` `gone/*.txt` "
+            "`tests/test_cli.py::TestBenchCommand` `gone/test_x.py::T`",
+            problems,
+        )
+        assert problems == [
+            "README.md: phantom file path 'gone/*.txt'",
+            "README.md: phantom file path 'gone/<ID>.txt'",
+            "README.md: phantom file path 'gone/test_x.py::T'",
+        ]
+
     def test_phantom_module_flagged(self, check_docs):
         problems = []
         check_docs.check_module_refs(

@@ -487,10 +487,13 @@ class TestBenchCommand:
              "--out-dir", str(tmp_path)]
         )
         assert exit_code == 0
-        assert "wrote" in capsys.readouterr().out
-        from repro.obs.bench import load_result
+        out = capsys.readouterr().out
+        assert "wrote" in out
+        from repro.obs.bench import load_result, render_text
 
         payload = load_result(str(tmp_path / "BENCH_FIG5.json"))
+        # the readable table of the written payload follows on stdout
+        assert render_text(payload) in out
         assert payload["experiment"] == "FIG5"
         assert payload["fast"] is True
         (case,) = payload["cases"]

@@ -20,7 +20,7 @@ else 0.  Unreadable input exits 2.
 
 Usage::
 
-    python tools/bench_history.py bench_results/history.jsonl
+    python tools/bench_history.py bench_artifacts/history.jsonl
     python tools/bench_history.py HISTORY --runs 3 --threshold 5 \
         --fail-on-regression
 """

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checker (run by the CI docs job).
 
-Three classes of drift, all fatal:
+Eight classes of drift, all fatal:
 
 1. **Dead links** — every relative markdown link in README.md,
    EXPERIMENTS.md and docs/*.md must point at an existing file.
@@ -28,6 +28,12 @@ Three classes of drift, all fatal:
    docs/observability.md must list exactly the event names in
    ``repro.obs.log.EVENT_CATALOG``, in both directions: no documented
    event the logger would reject, no emittable event the docs omit.
+8. **Phantom file paths** — every backticked repo path in README.md,
+   EXPERIMENTS.md, DESIGN.md and docs/*.md (a token containing ``/``
+   that ends in a file extension or ``/``) must exist relative to the
+   repo root or to the doc's own directory.  A component that stands
+   for a name the reader picks (``DIR/traces.jsonl``, ``<ID>``) ends
+   the checked prefix; globs must match at least one file.
 
 Usage: ``python tools/check_docs.py`` (from anywhere; exits 1 on drift).
 """
@@ -67,10 +73,17 @@ STATUS_ROW_RE = re.compile(r"^\|\s*((?:`\d{3}`(?:\s*/\s*)?)+)\s*\|",
 EVENT_ROW_RE = re.compile(
     r"^\|\s*`([a-z]+(?:\.[a-z][a-z-]*)+)`\s*\|", re.MULTILINE
 )
+#: Any backticked token without whitespace; check_paths filters it.
+CODE_TOKEN_RE = re.compile(r"`([^`\s]+)`")
+#: The last component of a file path: a name with an extension.
+FILE_NAME_RE = re.compile(r"[^/]*\.[A-Za-z0-9]+$")
+#: A path component standing for a reader-chosen name: `DIR`, `<ID>.txt`.
+PLACEHOLDER_RE = re.compile(r"[A-Z][A-Z0-9_]*|<[^>]*>.*")
 #: URL schemes that are links, not store addresses.
 WEB_SCHEMES = {"http", "https", "mailto"}
 
 LINK_FILES = ["README.md", "EXPERIMENTS.md"]
+PATH_FILES = ["README.md", "EXPERIMENTS.md", "DESIGN.md"]  # + docs/*.md
 REFERENCE_FILES = ["README.md"]  # + docs/*.md, added in main()
 
 
@@ -118,6 +131,31 @@ def check_module_refs(path: pathlib.Path, text: str, problems: list[str]) -> Non
                     f"{attribute!r}"
                 )
                 break
+
+
+def check_paths(path: pathlib.Path, text: str, problems: list[str]) -> None:
+    """Every backticked repo-relative path must name an existing file."""
+    for token in sorted(set(CODE_TOKEN_RE.findall(text))):
+        target = token.split("::", 1)[0]  # pytest node ids
+        if "/" not in target or "://" in target or target[0] in "/~":
+            continue
+        if not (target.endswith("/") or FILE_NAME_RE.search(target)):
+            continue
+        parts = []
+        for part in target.rstrip("/").split("/"):
+            if PLACEHOLDER_RE.fullmatch(part):
+                break
+            parts.append(part)
+        if not parts:
+            continue
+        checked = "/".join(parts)
+        bases = (ROOT, path.parent)
+        if any(char in checked for char in "*?["):
+            found = any(next(base.glob(checked), None) for base in bases)
+        else:
+            found = any((base / checked).exists() for base in bases)
+        if not found:
+            problems.append(f"{_rel(path)}: phantom file path {token!r}")
 
 
 def real_cli_surface():
@@ -301,6 +339,11 @@ def main() -> int:
         text = path.read_text()
         check_module_refs(path, text, problems)
         check_store_schemes(path, text, problems)
+
+    path_files = [ROOT / name for name in PATH_FILES]
+    path_files += sorted(docs_dir.glob("*.md"))
+    for path in path_files:
+        check_paths(path, path.read_text(), problems)
 
     check_cli_docs(docs_dir, problems)
     check_server_docs(docs_dir, problems)
